@@ -63,6 +63,7 @@ var crawlRemote = &workload{
 		return w, nil
 	},
 	layers: crawlLayers,
+	rssOps: 6,
 }
 
 // crawlResult is what one crawl sampled.

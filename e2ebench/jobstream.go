@@ -13,11 +13,9 @@ import (
 )
 
 // job-stream: two clients each submit one adaptive-stopping job at a
-// time over HTTP and follow it by SSE to a terminal state. Specs cycle
-// through fs(m=16), single and mhrw, so both drives of the job runner
-// (per observation and by slab) are exercised; the budget cap lies far
-// above the stopping point, so a job's latency is the time to an
-// estimate of stated accuracy.
+// time over HTTP and follow it by SSE to a terminal state. The budget
+// cap lies far above the stopping point, so a job's latency is the time
+// to an estimate of stated accuracy.
 const (
 	jobClients  = 2
 	jobBudget   = 1e7
@@ -72,16 +70,15 @@ var jobStream = &workload{
 			}
 			clients[i] = c
 		}
-		w := closedLoop(ctx, cfg.seconds, jobClients, func(ctx context.Context, client, i int) opResult {
+		return closedLoop(ctx, cfg.seconds, jobClients, func(ctx context.Context, client, i int) opResult {
 			sp := jobMethods[i%len(jobMethods)]
 			sp.Budget, sp.Estimate, sp.StopRule = jobBudget, jobEstimate, jobStopRule
 			sp.Seed = mix(cfg.seed, uint64(i))
 			return runJob(ctx, sys, clients[client], sp, tr)
-		})
-		printJobMix(w)
-		return w, nil
+		}), nil
 	},
 	layers: jobStreamLayers,
+	rssOps: 50,
 }
 
 // jobOp is job-stream's record of one job.
@@ -164,7 +161,6 @@ func checkJob(st frontier.JobStatus, traceID string, truth float64) error {
 func jobStreamLayers(sys *system, w *window, rep *report) error {
 	var (
 		total    layerSplit
-		byMethod = map[string]*layerSplit{}
 		waits    []float64
 		lags     []float64
 		sizes    []float64
@@ -207,10 +203,6 @@ func jobStreamLayers(sys *system, w *window, rep *report) error {
 			continue
 		}
 		total.add(r, jt.run)
-		if byMethod[m] == nil {
-			byMethod[m] = &layerSplit{}
-		}
-		byMethod[m].add(r, jt.run)
 	}
 	if len(toStop) == 0 {
 		return fmt.Errorf("job-stream: no traced job succeeded")
@@ -221,66 +213,20 @@ func jobStreamLayers(sys *system, w *window, rep *report) error {
 	rep.layers["jobs.checkpoint_bytes"] = median(sizes)
 	rep.layers["jobs.queue_wait_ms"] = median(waits)
 	rep.layers["jobs.notify_lag_ms"] = median(lags)
-	printLayerTable(byMethod, &total)
+	printLayerTable(&total)
 	return nil
 }
 
-// printLayerTable writes job-stream's cumulative cost per observation,
-// layer by layer, per method and over all shadowed jobs.
-func printLayerTable(byMethod map[string]*layerSplit, total *layerSplit) {
-	cols := []string{}
-	splits := []*layerSplit{}
-	for _, m := range methodNames() {
-		if s := byMethod[m]; s != nil {
-			cols = append(cols, m)
-			splits = append(splits, s)
-		}
-	}
-	cols = append(cols, "all")
-	splits = append(splits, total)
+// printLayerTable writes job-stream's cumulative cost per observation
+// over all shadowed jobs, layer by layer.
+func printLayerTable(total *layerSplit) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "e2ebench: job-stream layer table, cumulative ns/obs over shadowed jobs\n  %-12s", "layer")
-	for _, c := range cols {
-		fmt.Fprintf(&b, " %10s", c)
-	}
-	b.WriteString("\n")
-	rows := append(passNames[:], "+job runner")
-	for i, name := range rows {
-		fmt.Fprintf(&b, "  %-12s", name)
-		for _, s := range splits {
-			fmt.Fprintf(&b, " %10.0f", s.nsPerObs()[i])
-		}
-		b.WriteString("\n")
+	b.WriteString("e2ebench: job-stream layer table, cumulative ns/obs over shadowed jobs\n")
+	ns := total.nsPerObs()
+	for i, name := range append(passNames[:], "+job runner") {
+		fmt.Fprintf(&b, "  %-12s %10.0f\n", name, ns[i])
 	}
 	fmt.Fprint(os.Stderr, b.String())
-}
-
-// printJobMix writes each method's job count, median observations and
-// latency quantiles to standard error.
-func printJobMix(w *window) {
-	obs, lat := map[string][]float64{}, map[string][]float64{}
-	for _, op := range w.ops {
-		m := op.detail.(*jobOp).status.Spec.Method
-		obs[m] = append(obs[m], float64(op.obs))
-		lat[m] = append(lat[m], op.end.Sub(op.start).Seconds())
-	}
-	for _, m := range methodNames() {
-		fmt.Fprintf(os.Stderr, "  %-6s %3d jobs, median %8.0f obs, median %.3f s (p10 %.3f, p90 %.3f)\n", m,
-			len(obs[m]), median(obs[m]), median(lat[m]), quantile(lat[m], 0.1), quantile(lat[m], 0.9))
-	}
-}
-
-// methodNames lists job-stream's methods once each, in cycle order.
-func methodNames() []string {
-	var names []string
-	seen := map[string]bool{}
-	for _, m := range jobMethods {
-		if !seen[m.Method] {
-			seen[m.Method] = true
-			names = append(names, m.Method)
-		}
-	}
-	return names
 }
 
 // ms converts a duration to milliseconds.

@@ -34,10 +34,17 @@ type config struct {
 	seed     uint64
 	seconds  float64
 	trace    int
-	procs    int
-	setups   int
+	setups   int // set-ups per run; setup_s is their median
 	dir      string
 }
+
+const (
+	// procs is the GOMAXPROCS a run uses unless the GOMAXPROCS
+	// environment variable sets it: it fits a 2-core box.
+	procs = 2
+	// setUps is how many set-ups a run times.
+	setUps = 5
+)
 
 // metricDef names one reported metric and its unit.
 type metricDef struct{ name, unit string }
@@ -97,11 +104,12 @@ func main() {
 	flag.Uint64Var(&cfg.seed, "seed", 1, "workload seed; sets every job, sweep and crawl seed")
 	flag.Float64Var(&cfg.seconds, "seconds", 20, "length of the measured window in seconds")
 	flag.IntVar(&cfg.trace, "trace", 0, "1: run an untraced and a traced window and print per-layer metrics")
-	flag.IntVar(&cfg.procs, "procs", 2, "GOMAXPROCS (the default fits a 2-core box)")
-	flag.IntVar(&cfg.setups, "setups", 3, "set-ups per run; setup_s is their median")
 	flag.StringVar(&cfg.dir, "dir", filepath.Join(".bench_build", "e2ebench"), "directory for checkpoints, artifacts and spans")
 	flag.Parse()
-	runtime.GOMAXPROCS(cfg.procs)
+	cfg.setups = setUps
+	if os.Getenv("GOMAXPROCS") == "" {
+		runtime.GOMAXPROCS(procs)
+	}
 
 	res, err := run(cfg)
 	if err != nil {
@@ -130,7 +138,7 @@ func run(cfg config) (*result, error) {
 		return nil, fmt.Errorf("unknown workload %q (want job-stream, sweep-fig5 or crawl-remote)", cfg.workload)
 	}
 	if cfg.seconds <= 0 || cfg.setups < 1 || (cfg.trace != 0 && cfg.trace != 1) {
-		return nil, fmt.Errorf("bad -seconds %g, -setups %d or -trace %d", cfg.seconds, cfg.setups, cfg.trace)
+		return nil, fmt.Errorf("bad -seconds %g or -trace %d", cfg.seconds, cfg.trace)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), runDeadline)
 	defer cancel()
@@ -154,6 +162,9 @@ func run(cfg config) (*result, error) {
 	}
 	setups := []float64{setup0}
 	for i := 1; i < cfg.setups; i++ {
+		// Collect the previous system's garbage first, so this set-up is
+		// not charged for it; the first set-up starts on an empty heap.
+		runtime.GC()
 		s, d, err := setUp(ctx, w, filepath.Join(work, fmt.Sprintf("setup%d", i)))
 		if err != nil {
 			return nil, fmt.Errorf("set-up %d: %w", i, err)
@@ -193,7 +204,7 @@ func measure(ctx context.Context, w *workload, sys *system, cfg config) (*report
 	win.print("untraced")
 	rep := &report{e2e: win.endToEnd(), layers: map[string]float64{}}
 	rep.add(win)
-	rep.e2e["peak_rss_mb"] = peakRSSMB()
+	rep.e2e["peak_rss_mb"] = win.peakRSSMB(w.rssOps)
 	if cfg.trace == 0 {
 		return rep, nil
 	}

@@ -83,7 +83,7 @@ func TestWorkloadSmoke(t *testing.T) {
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			for _, trace := range []int{0, 1} {
-				cfg := config{workload: name, seed: 7, seconds: 0.2, trace: trace, procs: 2, setups: 2 - trace, dir: t.TempDir()}
+				cfg := config{workload: name, seed: 7, seconds: 0.2, trace: trace, setups: 2 - trace, dir: t.TempDir()}
 				res, err := run(cfg)
 				if err != nil {
 					t.Fatalf("trace %d: %v", trace, err)

@@ -82,6 +82,7 @@ var sweepFig5 = &workload{
 		return w, nil
 	},
 	layers: sweepLayers,
+	rssOps: 6,
 }
 
 // sweepOp is sweep-fig5's record of one sweep.

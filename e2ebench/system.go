@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,11 @@ type workload struct {
 	window func(ctx context.Context, sys *system, cfg config, tr *tracer) (*window, error)
 	// layers derives the per-layer metrics from a traced window.
 	layers func(sys *system, w *window, rep *report) error
+	// rssOps is how many ops have completed when peak_rss_mb is read:
+	// fewer than a window holds, so the figure covers a fixed amount of
+	// work and a faster program is not charged for the jobs it retains
+	// from the extra ops it completes.
+	rssOps int
 }
 
 // workloads is the benchmark's set of workloads by name.
@@ -153,8 +159,9 @@ func (s *system) setTracing(on bool) {
 type opResult struct {
 	start, end time.Time
 	obs        int64
-	err        error // non-nil: the op failed or failed a correctness check
-	detail     any   // the workload's own record of the op
+	rssMB      float64 // the process's peak RSS when the op completed
+	err        error   // non-nil: the op failed or failed a correctness check
+	detail     any     // the workload's own record of the op
 }
 
 // window is the outcome of one measured closed-loop window.
@@ -190,6 +197,7 @@ func closedLoop(ctx context.Context, seconds float64, clients int, do func(ctx c
 			for time.Now().Before(deadline) && ctx.Err() == nil {
 				i := int(next.Add(1) - 1)
 				r := do(ctx, c, i)
+				r.rssMB = peakRSSMB()
 				mu.Lock()
 				byI[i] = r
 				mu.Unlock()
@@ -225,6 +233,21 @@ func (w *window) endToEnd() map[string]float64 {
 		"op_p50_s":  quantile(lat, 0.5),
 		"op_p90_s":  quantile(lat, 0.9),
 	}
+}
+
+// peakRSSMB is the process's peak RSS when the k-th op of the window
+// completed, or when the last one did if there were fewer.
+func (w *window) peakRSSMB(k int) float64 {
+	rss := make([]float64, len(w.ops))
+	for i, op := range w.ops {
+		rss[i] = op.rssMB
+	}
+	if len(rss) == 0 {
+		return peakRSSMB()
+	}
+	// The peak only grows, so the k-th smallest is the k-th completion's.
+	sort.Float64s(rss)
+	return rss[min(k, len(rss))-1]
 }
 
 // print writes the window's op count and latency quantiles to

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -16,6 +15,12 @@ import (
 // time over HTTP and follow it by SSE to a terminal state. The budget
 // cap lies far above the stopping point, so a job's latency is the time
 // to an estimate of stated accuracy.
+//
+// The job manager has no checkpoint directory here. A job still takes
+// its step-boundary snapshot every 256 observations, but does not write
+// it: on a shared disk the file writes took up to two thirds of a job's
+// time and made the same seed's median latency vary by up to a quarter
+// from run to run. sweep-fig5 keeps the checkpoint files.
 const (
 	jobClients  = 2
 	jobBudget   = 1e7
@@ -88,7 +93,6 @@ type jobOp struct {
 	submitted time.Time          // when the submit call returned
 	received  time.Time          // when the client saw the terminal frame
 	trace     frontier.JobTrace  // traced windows only
-	ckptSize  int64              // traced windows only
 }
 
 // runJob submits sp, follows it to a terminal state and checks the
@@ -127,9 +131,6 @@ func runJob(ctx context.Context, sys *system, c *frontier.GraphClient, sp fronti
 		r.err = fmt.Errorf("job %s trace: %w", st.ID, err)
 	}
 	tr.jobTrace(rec.trace)
-	if fi, err := os.Stat(filepath.Join(sys.ckpt, st.ID+".json")); err == nil {
-		rec.ckptSize = fi.Size()
-	}
 	return r
 }
 
@@ -157,7 +158,8 @@ func checkJob(st frontier.JobStatus, traceID string, truth float64) error {
 
 // jobStreamLayers splits the traced jobs' cost by layer: replica passes
 // for the first shadowPerMethod jobs of each method, server timelines
-// for every job.
+// for every job. The checkpoint size is the shadowed jobs' last
+// snapshot as the job runner would write it.
 func jobStreamLayers(sys *system, w *window, rep *report) error {
 	var (
 		total    layerSplit
@@ -188,7 +190,6 @@ func jobStreamLayers(sys *system, w *window, rep *report) error {
 			jt.run = rec.received.Sub(rec.submitted)
 		}
 		lags = append(lags, ms(rec.received.Sub(jt.done)))
-		sizes = append(sizes, float64(rec.ckptSize))
 		toStop = append(toStop, float64(rec.status.Edges))
 		ckpts += jt.checkpoints
 		ckptObs += rec.status.Edges
@@ -203,6 +204,7 @@ func jobStreamLayers(sys *system, w *window, rep *report) error {
 			continue
 		}
 		total.add(r, jt.run)
+		sizes = append(sizes, float64(r.ckptBytes))
 	}
 	if len(toStop) == 0 {
 		return fmt.Errorf("job-stream: no traced job succeeded")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -46,6 +47,9 @@ type replica struct {
 	method string
 	obs    int64
 	pass   [numPasses]time.Duration
+	// ckptBytes is the JSON size of pass D's last snapshot: the
+	// session, sampler and live state a checkpoint file holds.
+	ckptBytes int
 }
 
 // replicate runs every pass over src and keeps each pass's median
@@ -81,8 +85,9 @@ func replicate(src frontier.Source, st frontier.JobStatus, reps int) (replica, e
 	// reps times and spent minPassSeconds, so that drift in the box's
 	// speed hits consecutive passes alike.
 	var (
-		times [numPasses][]float64
-		spent [numPasses]float64
+		times     [numPasses][]float64
+		spent     [numPasses]float64
+		ckptBytes int
 	)
 	need := func(p int) bool {
 		return len(times[p]) < reps || (spent[p] < minPassSeconds && len(times[p]) < maxPassReps)
@@ -94,29 +99,39 @@ func replicate(src frontier.Source, st frontier.JobStatus, reps int) (replica, e
 				continue
 			}
 			more = true
-			d, n, h, err := runPass(p, method, sp, src, budget, rule)
+			pr, err := runPass(p, method, sp, src, budget, rule)
 			if err != nil {
 				return replica{}, fmt.Errorf("job %s: pass %s: %w", st.ID, passNames[p], err)
 			}
-			if got := fmt.Sprintf("%016x", h); n != st.Edges || got != st.EdgeHash {
+			if got := fmt.Sprintf("%016x", pr.hash); pr.n != st.Edges || got != st.EdgeHash {
 				return replica{}, fmt.Errorf("job %s: pass %s sampled %d obs with hash %s, the job %d with hash %s",
-					st.ID, passNames[p], n, got, st.Edges, st.EdgeHash)
+					st.ID, passNames[p], pr.n, got, st.Edges, st.EdgeHash)
 			}
-			times[p] = append(times[p], d.Seconds())
-			spent[p] += d.Seconds()
+			times[p] = append(times[p], pr.d.Seconds())
+			spent[p] += pr.d.Seconds()
+			if p == passSnapshot {
+				ckptBytes = pr.ckptBytes
+			}
 		}
 	}
-	r := replica{method: sp.Method, obs: st.Edges}
+	r := replica{method: sp.Method, obs: st.Edges, ckptBytes: ckptBytes}
 	for p := range times {
 		r.pass[p] = time.Duration(median(times[p]) * float64(time.Second))
 	}
 	return r, nil
 }
 
-// runPass runs one pass and returns its time, observation count and
-// edge hash. It drives the sampler the way the job runner does: per
-// observation for walker-tracked methods, by slab otherwise.
-func runPass(p int, method frontier.JobMethod, sp frontier.JobSpec, src frontier.Source, budget float64, rule *frontier.StopRule) (time.Duration, int64, uint64, error) {
+// passRun is one pass's outcome.
+type passRun struct {
+	d         time.Duration
+	n         int64  // observations
+	hash      uint64 // edge hash
+	ckptBytes int    // pass D only: JSON size of the last snapshot
+}
+
+// runPass runs one pass. It drives the sampler the way the job runner
+// does: per observation for walker-tracked methods, by slab otherwise.
+func runPass(p int, method frontier.JobMethod, sp frontier.JobSpec, src frontier.Source, budget float64, rule *frontier.StopRule) (passRun, error) {
 	sampler := method.Build(sp)
 	sess := frontier.NewSession(src, budget, frontier.UnitCosts(), frontier.NewRand(sp.Seed))
 	var (
@@ -126,7 +141,7 @@ func runPass(p int, method frontier.JobMethod, sp frontier.JobSpec, src frontier
 	)
 	if p >= passKernel {
 		if est, err = frontier.DefaultEstimators().New(sp.Estimate, src); err != nil {
-			return 0, 0, 0, err
+			return passRun{}, err
 		}
 	}
 	if p >= passMonitor {
@@ -134,10 +149,17 @@ func runPass(p int, method frontier.JobMethod, sp frontier.JobSpec, src frontier
 		rt = frontier.NewLiveRuntime(est, frontier.NewConvergenceMonitor(frontier.MonitorConfig{Chains: chains}), rule)
 	}
 	every := int64(sp.CheckpointEvery)
+	// last keeps the latest snapshot, laid out as a checkpoint file
+	// holds it; it is encoded after the pass is timed.
+	var last struct {
+		Session frontier.SessionCheckpoint `json:"session"`
+		Sampler json.RawMessage            `json:"sampler"`
+		Live    json.RawMessage            `json:"live"`
+	}
 	snapshot := func() {
-		_, _ = sampler.Snapshot() // timed for its cost; the state is not kept
-		_, _ = rt.State()
-		_ = sess.Checkpoint()
+		last.Sampler, _ = sampler.Snapshot()
+		last.Live, _ = rt.State()
+		last.Session = sess.Checkpoint()
 	}
 	tracker, _ := sampler.(frontier.WalkerTracker)
 	hash, n := fnvOffset, int64(0)
@@ -180,7 +202,18 @@ func runPass(p int, method frontier.JobMethod, sp frontier.JobSpec, src frontier
 			}
 		})
 	}
-	return time.Since(start), n, hash, err
+	r := passRun{d: time.Since(start), n: n, hash: hash}
+	if err != nil {
+		return r, err
+	}
+	if p == passSnapshot {
+		data, err := json.Marshal(&last)
+		if err != nil {
+			return r, err
+		}
+		r.ckptBytes = len(data)
+	}
+	return r, nil
 }
 
 // layerSplit sums shadowed jobs' pass times and observations, and the

@@ -82,7 +82,10 @@ var sweepFig5 = &workload{
 		return w, nil
 	},
 	layers: sweepLayers,
-	rssOps: 6,
+	// Its jobs are short (one or two checkpoints each), so the files
+	// cost little next to the sweep's own manifest writes.
+	persist: true,
+	rssOps:  6,
 }
 
 // sweepOp is sweep-fig5's record of one sweep.

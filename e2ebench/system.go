@@ -34,6 +34,9 @@ type workload struct {
 	window func(ctx context.Context, sys *system, cfg config, tr *tracer) (*window, error)
 	// layers derives the per-layer metrics from a traced window.
 	layers func(sys *system, w *window, rep *report) error
+	// persist makes the job manager write checkpoint files. Sweep
+	// manifests are written either way.
+	persist bool
 	// rssOps is how many ops have completed when peak_rss_mb is read:
 	// fewer than a window holds, so the figure covers a fixed amount of
 	// work and a faster program is not charged for the jobs it retains
@@ -53,7 +56,7 @@ type system struct {
 	g      *frontier.Graph
 	name   string // catalog name of g
 	avgDeg float64
-	ckpt   string // job checkpoint directory
+	ckpt   string // job checkpoint directory, when the workload persists
 	url    string
 
 	jobs    *frontier.JobManager
@@ -70,7 +73,7 @@ type system struct {
 func setUp(ctx context.Context, w *workload, dir string) (*system, float64, error) {
 	start := time.Now()
 	g, groups := w.graph()
-	sys, err := startSystem(g, groups, dir)
+	sys, err := startSystem(g, groups, dir, w.persist)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -82,8 +85,9 @@ func setUp(ctx context.Context, w *workload, dir string) (*system, float64, erro
 }
 
 // startSystem hosts g in a catalog behind a job manager (with a
-// checkpoint directory) and a sweep manager, and serves them.
-func startSystem(g *frontier.Graph, groups *frontier.GroupLabels, dir string) (*system, error) {
+// checkpoint directory when persist is set) and a sweep manager, and
+// serves them.
+func startSystem(g *frontier.Graph, groups *frontier.GroupLabels, dir string, persist bool) (*system, error) {
 	sys := &system{g: g, name: "bench", ckpt: filepath.Join(dir, "checkpoints")}
 	var degSum int64
 	for v := 0; v < g.NumVertices(); v++ {
@@ -97,11 +101,12 @@ func startSystem(g *frontier.Graph, groups *frontier.GroupLabels, dir string) (*
 	if err := cat.Add(sys.name, g, groups); err != nil {
 		return nil, err
 	}
+	opts := []frontier.JobOption{frontier.WithJobWorkers(jobWorkers), frontier.WithJobResolver(cat)}
+	if persist {
+		opts = append(opts, frontier.WithJobCheckpointDir(sys.ckpt))
+	}
 	var err error
-	sys.jobs, err = frontier.NewJobManager(nil,
-		frontier.WithJobWorkers(jobWorkers),
-		frontier.WithJobResolver(cat),
-		frontier.WithJobCheckpointDir(sys.ckpt))
+	sys.jobs, err = frontier.NewJobManager(nil, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -408,6 +408,53 @@ func BenchmarkGraphLoad(b *testing.B) {
 	})
 }
 
+// BenchmarkSweepFig5 runs one paper Figure 5 sweep per op — 120
+// sampling jobs, three aggregations and the figure — in process over
+// the scale-0.1 Flickr stand-in, with sweep manifests persisted to a
+// temporary directory. It times the sweep layer above the job service:
+// DAG scheduling, result encoding and the manifest journal. The
+// journal appends one record per node transition, so B/op grows with
+// the results once; a manifest rewritten whole on every transition
+// shows up here as B/op growing with the square of the node count.
+func BenchmarkSweepFig5(b *testing.B) {
+	ds, err := frontier.DatasetByName("flickr", frontier.NewRand(1), 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := frontier.NewGraphCatalog()
+	if err := cat.Add("flickr", ds.Graph, ds.Groups); err != nil {
+		b.Fatal(err)
+	}
+	jm, err := frontier.NewJobManager(ds.Graph, frontier.WithJobWorkers(4), frontier.WithJobResolver(cat))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer jm.Stop()
+	dir := b.TempDir()
+	sm, err := frontier.NewSweepManager(jm, cat,
+		frontier.WithSweepDir(filepath.Join(dir, "sweeps")),
+		frontier.WithSweepArtifactDir(filepath.Join(dir, "artifacts")))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sm.Stop() // before jm.Stop: deferred calls run last-in first-out
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw, err := sm.Submit(frontier.SweepSpec{Artifact: "fig5", Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		wake, stop := sw.Watch()
+		for !sw.State().Terminal() {
+			<-wake
+		}
+		stop()
+		if st := sw.Status(); st.State != frontier.SweepDone || !st.ChecksPass {
+			b.Fatalf("sweep ended %s (checks pass %v): %s", st.State, st.ChecksPass, st.Error)
+		}
+	}
+}
+
 // BenchmarkCrawlMmap drives the slab-batched sampling hot loop over
 // the memory-mapped segment instead of the heap graph. The
 // devirtualized CSR loop reads the same little-endian arrays either

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -336,6 +337,11 @@ type Sweep struct {
 	version    int64
 	watchers   map[int]chan struct{}
 	nextWatch  int
+
+	// journal mirrors what the manifest file holds, so persist appends
+	// only what changed. Guarded by m.persistMu, not mu; nil until this
+	// manager writes the file's base line.
+	journal *journalState
 }
 
 // ID returns the sweep id.
@@ -630,9 +636,11 @@ func (sw *Sweep) finalize() {
 	}
 	sw.state = final
 	errMsg := sw.errMsg
+	// Recorded before the final state is visible, so a reader that sees
+	// it also finds the event in the trace.
+	sw.timeline.Record("sweep/"+string(final), errMsg)
 	sw.notifyLocked()
 	sw.mu.Unlock()
-	sw.timeline.Record("sweep/"+string(final), errMsg)
 	sw.m.persist(sw)
 	sw.m.log.Info("sweep finished", "sweep", sw.id, "state", string(final), "error", errMsg)
 }
@@ -898,7 +906,8 @@ func atomicWrite(path string, data []byte) error {
 // manifest is the persisted form of a sweep: spec plus per-node states
 // and results. The DAG itself is not stored — planning is
 // deterministic from the spec, and resume merges these states into a
-// fresh plan by node id.
+// fresh plan by node id. It is the first line of the manifest journal
+// (see persist); manifestDelta lines follow it.
 type manifest struct {
 	// ID is the sweep id (also the manifest file stem).
 	ID string `json:"id"`
@@ -935,44 +944,203 @@ type manifestNode struct {
 	Error string `json:"error,omitempty"`
 }
 
-// persist atomically writes the sweep's manifest.
+// sameRecord reports whether two node records persist the same state.
+// Digest stands in for Result, whose sha256 it is.
+func (a manifestNode) sameRecord(b manifestNode) bool {
+	return a.ID == b.ID && a.State == b.State && a.JobID == b.JobID &&
+		a.Digest == b.Digest && a.Error == b.Error
+}
+
+// manifestDelta is one appended manifest journal line: the sweep state
+// plus whatever changed since the previous line. Error, Artifacts and
+// Checks are carried only when they changed (a running manager never
+// clears them), so an absent field means unchanged; Nodes holds only
+// the nodes whose record changed.
+type manifestDelta struct {
+	// State is the sweep lifecycle state at persist time.
+	State State `json:"state"`
+	// Error is the sweep-level error, when it changed.
+	Error string `json:"error,omitempty"`
+	// Artifacts is the full artifact list, when it grew.
+	Artifacts []ArtifactInfo `json:"artifacts,omitempty"`
+	// Checks is the full check list, when it grew.
+	Checks []CheckResult `json:"checks,omitempty"`
+	// Nodes holds the changed node records.
+	Nodes []manifestNode `json:"nodes,omitempty"`
+}
+
+// journalState is what a sweep's manifest file holds after the last
+// persist, replayed: enough to append a diff or rewrite the base line.
+type journalState struct {
+	nodes     []manifestNode // one record per node, plan order
+	state     State
+	err       string
+	artifacts []ArtifactInfo
+	checks    []CheckResult
+}
+
+// persist journals the sweep's manifest to <dir>/<sweep-id>.json. The
+// first call by this manager writes the whole manifest as the file's
+// base line (atomic tmp+rename), which also compacts a journal an
+// earlier manager left; every later call appends one manifestDelta
+// line, so each done node's result is encoded and written once. The
+// diff and the write both happen under persistMu, so lines land in
+// transition order. A failed append falls back to rewriting the base.
 func (m *Manager) persist(sw *Sweep) {
 	if m.dir == "" {
 		return
 	}
+	m.persistMu.Lock()
+	defer m.persistMu.Unlock()
+	j, delta, changed := sw.journalDiff()
+	if !changed {
+		return
+	}
+	path := filepath.Join(m.dir, sw.id+".json")
+	if delta != nil {
+		line, err := json.Marshal(delta)
+		if err == nil {
+			err = appendLine(path, append(line, '\n'))
+		}
+		if err == nil {
+			sw.journal = j
+			return
+		}
+		m.log.Warn("sweep manifest append failed; rewriting it whole", "sweep", sw.id, "error", err)
+	}
+	data, err := json.Marshal(manifest{
+		ID: sw.id, Spec: sw.spec, State: j.state, TraceID: sw.traceID,
+		Nodes: j.nodes, Artifacts: j.artifacts, Checks: j.checks, Error: j.err,
+	})
+	if err == nil {
+		err = atomicWrite(path, append(data, '\n'))
+	}
+	if err != nil {
+		m.log.Error("sweep manifest write failed", "sweep", sw.id, "error", err)
+		sw.journal = nil
+		return
+	}
+	sw.journal = j
+}
+
+// journalDiff folds the sweep's current state into its journal. It
+// returns the updated journal and the line to append: a nil delta when
+// the file needs its base line (the first persist by this manager),
+// and changed=false when the file is already current. The journal is
+// updated in place, so callers hold m.persistMu and reset sw.journal
+// when the write fails.
+func (sw *Sweep) journalDiff() (j *journalState, delta *manifestDelta, changed bool) {
 	sw.mu.Lock()
-	man := manifest{
-		ID:        sw.id,
-		Spec:      sw.spec,
-		State:     sw.state,
-		TraceID:   sw.traceID,
-		Nodes:     make([]manifestNode, len(sw.nodes)),
-		Artifacts: append([]ArtifactInfo(nil), sw.artifacts...),
-		Checks:    append([]CheckResult(nil), sw.checks...),
-		Error:     sw.errMsg,
+	defer sw.mu.Unlock()
+	j = sw.journal
+	fresh := j == nil
+	if fresh {
+		j = &journalState{nodes: make([]manifestNode, len(sw.nodes))}
+	}
+	d := &manifestDelta{State: sw.state}
+	changed = fresh || j.state != sw.state
+	j.state = sw.state
+	if j.err != sw.errMsg {
+		j.err, d.Error, changed = sw.errMsg, sw.errMsg, true
+	}
+	if len(j.artifacts) != len(sw.artifacts) {
+		j.artifacts, changed = append([]ArtifactInfo(nil), sw.artifacts...), true
+		d.Artifacts = j.artifacts
+	}
+	if len(j.checks) != len(sw.checks) {
+		j.checks, changed = append([]CheckResult(nil), sw.checks...), true
+		d.Checks = j.checks
 	}
 	for i, n := range sw.nodes {
-		man.Nodes[i] = manifestNode{
+		rec := manifestNode{
 			ID: n.id, State: n.state, JobID: n.jobID,
 			Result: n.result, Digest: n.digest, Error: n.err,
 		}
+		if !rec.sameRecord(j.nodes[i]) {
+			j.nodes[i], changed = rec, true
+			d.Nodes = append(d.Nodes, rec)
+		}
 	}
-	sw.mu.Unlock()
+	if fresh {
+		return j, nil, true
+	}
+	return j, d, changed
+}
 
-	data, err := json.Marshal(man)
+// appendLine appends one journal line to an existing file in a single
+// write.
+func appendLine(path string, line []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
-		m.log.Error("sweep manifest encode failed", "sweep", sw.id, "error", err)
-		return
+		return err
 	}
-	m.persistMu.Lock()
-	defer m.persistMu.Unlock()
-	if err := atomicWrite(filepath.Join(m.dir, sw.id+".json"), data); err != nil {
-		m.log.Error("sweep manifest write failed", "sweep", sw.id, "error", err)
+	_, err = f.Write(line)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	return err
+}
+
+// replayManifest decodes a manifest journal. The first line is the base
+// manifest; each later line is a manifestDelta that overrides the sweep
+// fields it carries and the nodes it names (last writer wins). A final
+// line without its newline is a torn append and is dropped. The base
+// line is written by rename, so it is whole even without a newline —
+// which makes a single-document manifest a journal with no deltas.
+func replayManifest(data []byte) (manifest, error) {
+	first, rest, _ := bytes.Cut(data, []byte{'\n'})
+	var man manifest
+	if err := json.Unmarshal(first, &man); err != nil {
+		return manifest{}, err
+	}
+	at := make(map[string]int, len(man.Nodes))
+	for i, n := range man.Nodes {
+		at[n.ID] = i
+	}
+	for lineNo := 2; ; lineNo++ {
+		line, tail, whole := bytes.Cut(rest, []byte{'\n'})
+		if !whole {
+			break // end of file, or a torn final append
+		}
+		rest = tail
+		var d manifestDelta
+		if err := json.Unmarshal(line, &d); err != nil {
+			return manifest{}, fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		man.State = d.State
+		if d.Error != "" {
+			man.Error = d.Error
+		}
+		if d.Artifacts != nil {
+			man.Artifacts = d.Artifacts
+		}
+		if d.Checks != nil {
+			man.Checks = d.Checks
+		}
+		for _, n := range d.Nodes {
+			if i, ok := at[n.ID]; ok {
+				man.Nodes[i] = n
+			} else {
+				at[n.ID] = len(man.Nodes)
+				man.Nodes = append(man.Nodes, n)
+			}
+		}
+	}
+	if !man.State.Terminal() && man.State != StatePending && man.State != StateRunning {
+		return manifest{}, fmt.Errorf("unknown sweep state %q", man.State)
+	}
+	for _, n := range man.Nodes {
+		if !n.State.Terminal() && n.State != NodePending && n.State != NodeRunning {
+			return manifest{}, fmt.Errorf("node %s has unknown state %q", n.ID, n.State)
+		}
+	}
+	return man, nil
 }
 
 // loadManifests restores persisted sweeps at construction, resuming
-// the non-terminal ones.
+// the non-terminal ones. A manifest that cannot be read, replayed or
+// validated is quarantined as <name>.corrupt and the rest still load,
+// so one bad file cannot keep the manager down.
 func (m *Manager) loadManifests() error {
 	if m.dir == "" {
 		return nil
@@ -983,41 +1151,75 @@ func (m *Manager) loadManifests() error {
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+		if e.IsDir() {
+			continue
+		}
+		stem, ok := strings.CutSuffix(e.Name(), ".json")
+		if ok {
 			names = append(names, e.Name())
+		} else if stem, ok = strings.CutSuffix(e.Name(), ".json.corrupt"); !ok {
+			continue
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(m.dir, name))
-		if err != nil {
-			return fmt.Errorf("sweep: read manifest %s: %w", name, err)
-		}
-		var man manifest
-		if err := json.Unmarshal(data, &man); err != nil {
-			return fmt.Errorf("sweep: decode manifest %s: %w", name, err)
-		}
-		if man.ID == "" || man.ID != strings.TrimSuffix(name, ".json") {
-			return fmt.Errorf("sweep: manifest %s has mismatched id %q", name, man.ID)
-		}
-		if err := m.restore(man); err != nil {
-			return err
-		}
-		if seq, ok := strings.CutPrefix(man.ID, "sweep-"); ok {
+		// Quarantined ids stay taken, so a new sweep never reuses
+		// their artifact directory.
+		if seq, ok := strings.CutPrefix(stem, "sweep-"); ok {
 			if v, err := strconv.Atoi(seq); err == nil && v > m.nextID {
 				m.nextID = v
 			}
 		}
 	}
+	sort.Strings(names)
+	for _, name := range names {
+		man, err := m.readManifest(name)
+		if err != nil {
+			m.quarantine(name, err)
+			continue
+		}
+		m.restore(man)
+	}
 	return nil
+}
+
+// readManifest reads, replays and validates one manifest journal.
+func (m *Manager) readManifest(name string) (manifest, error) {
+	data, err := os.ReadFile(filepath.Join(m.dir, name))
+	if err != nil {
+		return manifest{}, err
+	}
+	man, err := replayManifest(data)
+	if err != nil {
+		return manifest{}, err
+	}
+	if man.ID == "" || man.ID != strings.TrimSuffix(name, ".json") {
+		return manifest{}, fmt.Errorf("mismatched id %q", man.ID)
+	}
+	if _, err := m.normalize(man.Spec); err != nil {
+		return manifest{}, err
+	}
+	return man, nil
+}
+
+// quarantine moves a bad manifest aside as <name>.corrupt, where
+// loadManifests no longer reads it but an operator can.
+func (m *Manager) quarantine(name string, cause error) {
+	path := filepath.Join(m.dir, name)
+	if err := os.Rename(path, path+".corrupt"); err != nil {
+		m.log.Error("sweep manifest unreadable and not quarantined", "file", name,
+			"error", cause, "rename_error", err)
+		return
+	}
+	m.log.Error("sweep manifest quarantined", "file", name,
+		"moved_to", name+".corrupt", "error", cause)
 }
 
 // restore rebuilds one sweep from its manifest: re-plan from the spec,
 // merge the persisted node states in by id, and restart the scheduler
 // when the sweep is not terminal. Previously running job nodes come
 // back as pending with their job id kept, so the scheduler reattaches
-// instead of resubmitting.
-func (m *Manager) restore(man manifest) error {
+// instead of resubmitting. So does a done node whose result fails its
+// digest check; a terminal sweep holding one reopens to re-run it and
+// then ends in its recorded state again.
+func (m *Manager) restore(man manifest) {
 	var nodes []*node
 	g, gl, err := m.graphs.Graph(man.Spec.Graph)
 	if err == nil {
@@ -1034,23 +1236,36 @@ func (m *Manager) restore(man manifest) error {
 		sw.state = StateFailed
 		sw.errMsg = "resume: " + err.Error()
 	}
+	var reverted int
 	for _, mn := range man.Nodes {
 		n, ok := sw.byID[mn.ID]
 		if !ok {
 			continue
 		}
 		n.jobID = mn.JobID
-		switch mn.State {
-		case NodeRunning:
+		switch {
+		case mn.State == NodeRunning, mn.State == NodePending:
 			n.state = NodePending // reattach via jobID on restart
-		case NodePending:
+		case mn.State == NodeDone && digestOf(mn.Result) != mn.Digest:
 			n.state = NodePending
+			reverted++
+			m.log.Warn("sweep node result failed its digest check; re-running it",
+				"sweep", sw.id, "node", n.id, "job", n.jobID)
+			if n.kind == kindFigure {
+				sw.dropFigureOutputs(n.artifact)
+			}
 		default:
 			n.state = mn.State
 			n.err = mn.Error
 			n.result = mn.Result
 			n.digest = mn.Digest
 		}
+	}
+	if reverted > 0 && sw.state.Terminal() {
+		if sw.state != StateDone {
+			sw.abortState = sw.state // finalize restores the recorded end
+		}
+		sw.state = StateRunning
 	}
 	m.mu.Lock()
 	m.sweeps[sw.id] = sw
@@ -1062,5 +1277,22 @@ func (m *Manager) restore(man manifest) error {
 		m.wg.Add(1)
 		go sw.run()
 	}
-	return nil
+}
+
+// dropFigureOutputs forgets the artifacts and checks a figure node
+// recorded, before that node re-runs and records them again.
+func (sw *Sweep) dropFigureOutputs(artifact string) {
+	arts := sw.artifacts[:0:0]
+	for _, a := range sw.artifacts {
+		if !strings.HasPrefix(a.Name, artifact+".") {
+			arts = append(arts, a)
+		}
+	}
+	checks := sw.checks[:0:0]
+	for _, c := range sw.checks {
+		if c.Artifact != artifact {
+			checks = append(checks, c)
+		}
+	}
+	sw.artifacts, sw.checks = arts, checks
 }

@@ -9,9 +9,9 @@
 // artifact file.
 //
 // Sweeps are resumable: a manifest holding per-node states and
-// completed-node results is persisted atomically in the manifest dir
-// (conventionally next to the job checkpoint dir) on every node
-// transition. Killing the process mid-sweep and constructing a new
+// completed-node results is journaled in the manifest dir
+// (conventionally next to the job checkpoint dir), one appended line
+// per node transition after a base line written atomically. Killing the process mid-sweep and constructing a new
 // Manager over the same directories resumes the sweep without
 // re-running finished nodes; because node seeds derive only from the
 // sweep spec, the resumed sweep's artifacts are byte-identical to an
